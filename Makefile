@@ -1,6 +1,10 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-self check bench bench-smoke bench-check load-smoke
+.PHONY: fmt build vet test race lint lint-self check bench bench-smoke bench-check load-smoke
+
+# fmt fails when any Go file is not gofmt-formatted, listing the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -45,4 +49,4 @@ load-smoke:
 	./scripts/load_smoke.sh
 
 # check mirrors the CI pipeline (.github/workflows/ci.yml).
-check: build vet test race lint lint-self bench-check load-smoke
+check: fmt build vet test race lint lint-self bench-check load-smoke

@@ -96,9 +96,6 @@ type (
 	EdgeSchedule = sched.EdgeSchedule
 	// Options selects the policies of the unified list scheduler.
 	Options = sched.Options
-	// RouteCache memoizes BFS routes; share one across runs (via
-	// Options.RouteCache) to amortize static route work.
-	RouteCache = network.RouteCache
 )
 
 // Serving types.
@@ -117,9 +114,6 @@ type (
 func NewEngine(net *Topology, opts EngineOptions) (*Engine, error) {
 	return sched.NewEngine(net, opts)
 }
-
-// NewRouteCache returns a route cache for sharing across Schedule runs.
-func NewRouteCache(capacity int) *RouteCache { return network.NewRouteCache(capacity) }
 
 // DiffSchedules reports the first difference between two schedules
 // ("" when bit-identical); exact comparison, for determinism checks.

@@ -90,7 +90,7 @@ func TestProbeDifferential(t *testing.T) {
 // rounding slack matters most.
 func TestProbeDifferentialAdversarial(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	slack := func(o Owner) float64 { return float64(o.Edge%3) }
+	slack := func(o Owner) float64 { return float64(o.Edge % 3) }
 	for trial := 0; trial < 300; trial++ {
 		tl := NewTimeline()
 		base := math.Pow(10, float64(r.Intn(7))) // magnitudes 1 .. 1e6

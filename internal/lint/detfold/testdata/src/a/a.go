@@ -87,7 +87,7 @@ func selectMerge(a, b chan result) result {
 	for i := 0; i < 4; i++ {
 		select {
 		case r := <-a:
-			total += r.Finish // want "order-dependent float accumulation into total in a select merge"
+			total += r.Finish           // want "order-dependent float accumulation into total in a select merge"
 			if r.Finish < best.Finish { // want "selection of best in a select merge compares floats bare"
 				best = r
 			}

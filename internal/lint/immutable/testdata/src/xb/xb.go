@@ -6,9 +6,9 @@ package xb
 import "xa"
 
 func mutate(g *xa.Graph) {
-	g.Tasks[0] = 9    // want "assignment to Graph, which is marked edgelint:immutable, outside its constructors \\(allowed writers: AddTask, NewGraph in xa\\)"
-	g.Costs[3] = 1.5  // want "assignment to Graph"
-	g.Tasks[0]++      // want "increment/decrement of Graph"
+	g.Tasks[0] = 9   // want "assignment to Graph, which is marked edgelint:immutable, outside its constructors \\(allowed writers: AddTask, NewGraph in xa\\)"
+	g.Costs[3] = 1.5 // want "assignment to Graph"
+	g.Tasks[0]++     // want "increment/decrement of Graph"
 }
 
 // AddTask shares a constructor's name, but the allowance is scoped to

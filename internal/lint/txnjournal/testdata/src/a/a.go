@@ -33,13 +33,13 @@ type state struct {
 	scratch    []float64 // not journaled
 }
 
-func (s *state) touchTask(id TaskID)          {}
-func (s *state) touchProc(id NodeID)          {}
-func (s *state) touchEdge(id EdgeID)          {}
-func (s *state) touchTimeline(id LinkID)      {}
-func (s *state) touchBWTimeline(id LinkID)    {}
-func (s *state) touchProcTimeline(id NodeID)  {}
-func (s *state) touchDup()                    {}
+func (s *state) touchTask(id TaskID)         {}
+func (s *state) touchProc(id NodeID)         {}
+func (s *state) touchEdge(id EdgeID)         {}
+func (s *state) touchTimeline(id LinkID)     {}
+func (s *state) touchBWTimeline(id LinkID)   {}
+func (s *state) touchProcTimeline(id NodeID) {}
+func (s *state) touchDup()                   {}
 func (s *state) cowEdge(id EdgeID) *EdgeSchedule {
 	return s.edges[id]
 }

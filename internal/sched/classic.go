@@ -26,22 +26,16 @@ func (c *Classic) Name() string { return "Classic" }
 // schedule has Ideal set and no edge schedules; its makespan is the
 // ideal-model prediction, not a network-feasible value.
 func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
+	// The state serves only as the task and processor-clock columns:
+	// nothing is routed, so every edge materializes as nil.
+	s, err := coldState(g, net, Options{})
+	if err != nil {
 		return nil, err
 	}
 	order, err := g.PriorityOrder()
 	if err != nil {
 		return nil, err
 	}
-	mls := net.MeanLinkSpeed()
-	tasks := make([]TaskPlacement, g.NumTasks())
-	for i := range tasks {
-		tasks[i] = TaskPlacement{Task: dag.TaskID(i), Proc: -1}
-	}
-	procFinish := make([]float64, net.NumNodes())
 	for _, tid := range order {
 		best := network.NodeID(-1)
 		bestFinish := math.Inf(1)
@@ -50,18 +44,18 @@ func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, erro
 			drt := 0.0
 			for _, eid := range g.Pred(tid) {
 				e := g.Edge(eid)
-				src := tasks[e.From]
+				src := s.tasks[e.From]
 				arr := src.Finish
 				if src.Proc != p {
-					arr += e.Cost / mls
+					arr += e.Cost / s.mls
 				}
 				if arr > drt {
 					drt = arr
 				}
 			}
 			start := drt
-			if procFinish[p] > start {
-				start = procFinish[p]
+			if s.procFinish[p] > start {
+				start = s.procFinish[p]
 			}
 			finish := start + g.Task(tid).Cost/net.Node(p).Speed
 			if finish < bestFinish-1e-12 {
@@ -70,18 +64,12 @@ func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, erro
 				best = p
 			}
 		}
-		tasks[tid] = TaskPlacement{Task: tid, Proc: best, Start: bestStart, Finish: bestFinish}
-		procFinish[best] = bestFinish
+		s.tasks[tid] = TaskPlacement{Task: tid, Proc: best, Start: bestStart, Finish: bestFinish}
+		s.procFinish[best] = bestFinish
 	}
-	return &Schedule{
-		Algorithm: "Classic",
-		Graph:     g,
-		Net:       net,
-		Tasks:     tasks,
-		Edges:     make([]*EdgeSchedule, g.NumEdges()),
-		Makespan:  makespan(tasks),
-		Ideal:     true,
-	}, nil
+	out := s.result(c.Name())
+	out.Ideal = true
+	return out, nil
 }
 
 // ClassicReplay runs Classic to obtain a task-to-processor assignment
@@ -129,10 +117,8 @@ func ReplayAssignment(g *dag.Graph, net *network.Topology, donor *Schedule, name
 // policies, skipping processor selection entirely. It is the evaluation
 // primitive of replay baselines and the local-search refiner.
 func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.NodeID, opts Options, name string) (*Schedule, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
+	s, err := coldState(g, net, opts)
+	if err != nil {
 		return nil, err
 	}
 	if len(assign) != g.NumTasks() {
@@ -143,10 +129,6 @@ func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.No
 			return nil, fmt.Errorf("sched: task %d assigned to invalid processor %d", tid, p)
 		}
 	}
-	s, err := newState(g, net, opts)
-	if err != nil {
-		return nil, err
-	}
 	order, err := priorityOrder(g, opts.Priority)
 	if err != nil {
 		return nil, err
@@ -156,14 +138,5 @@ func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.No
 			return nil, err
 		}
 	}
-	return &Schedule{
-		Algorithm: name,
-		Graph:     g,
-		Net:       net,
-		Tasks:     s.tasks,
-		Edges:     s.edges.materialize(),
-		Makespan:  makespan(s.tasks),
-		HopDelay:  opts.HopDelay,
-		Switching: opts.Switching,
-	}, nil
+	return s.result(name), nil
 }

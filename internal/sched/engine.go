@@ -52,10 +52,8 @@ type EngineOptions struct {
 	// defaults to "engine".
 	Name string
 	// Opts selects the scheduling policies, exactly as for NewCustom.
-	// Opts.RouteCache is ignored: the engine always installs its own
-	// shared cache. Opts.ProbeWorkers applies per request; under
-	// concurrent load keep it at 1 (the default) and let concurrency
-	// come from the requests themselves.
+	// Opts.ProbeWorkers applies per request; under concurrent load keep
+	// it at 1 and let concurrency come from the requests themselves.
 	Opts Options
 	// MaxConcurrent bounds the requests scheduled simultaneously (the
 	// worker pool). 0 uses GOMAXPROCS.
@@ -64,21 +62,13 @@ type EngineOptions struct {
 	// before Schedule fails fast with ErrOverloaded. 0 means unbounded
 	// waiting (backpressure by blocking).
 	MaxQueue int
-	// RouteCacheSize is the shared route cache capacity. 0 auto-sizes
-	// to cover every ordered processor pair, clamped to
-	// [DefaultRouteCacheSize, 1<<22].
-	RouteCacheSize int
-	// RouteCacheShards is the cache's lock-shard count. 0 picks a
-	// power of two near 4×MaxConcurrent so concurrent lookups of
-	// distinct pairs rarely share a mutex.
-	RouteCacheShards int
 	// WarmRoutes precomputes the BFS route of every ordered processor
 	// pair at construction, so even the first requests hit the cache.
 	// Skipped (routes warm on demand) when the pair count exceeds the
 	// cache capacity — warming would only evict itself.
 	WarmRoutes bool
-	// SelfCheckEvery, when N > 0, re-runs every Nth request cold — a
-	// fresh single-threaded state with a private route cache — and
+	// SelfCheckEvery, when N > 0, re-runs every Nth request through the
+	// one-shot path (NewCustom(...).Schedule with ProbeWorkers 1) and
 	// fails the request if the engine's schedule is not bit-identical.
 	// The determinism oracle for serving: leave it on at a generous N
 	// in production, or 1 in tests.
@@ -137,16 +127,24 @@ type Engine struct {
 	reqSeq     atomic.Uint64
 }
 
-// NewEngine validates the topology once and builds an engine serving
-// the given policies against it. The topology must not be mutated for
-// the engine's lifetime (the frozen-after-construction contract all
-// schedulers already rely on).
+// NewEngine validates the topology and the options once and builds an
+// engine serving the given policies against it. The topology must not
+// be mutated for the engine's lifetime (the frozen-after-construction
+// contract all schedulers already rely on).
+//
+// The shared route cache covers every ordered processor pair, clamped
+// to [DefaultRouteCacheSize, 1<<22], over a power of two of lock
+// shards near 4×MaxConcurrent (at most 256), so concurrent lookups of
+// distinct pairs rarely share a mutex.
 func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	if eo.Opts.Duplication && eo.Opts.TaskPolicy != TaskAppend {
-		return nil, fmt.Errorf("sched: duplication requires the append task policy")
+	if err := eo.Opts.validate(); err != nil {
+		return nil, err
+	}
+	if eo.SelfCheckEvery < 0 {
+		return nil, fmt.Errorf("sched: negative SelfCheckEvery %d", eo.SelfCheckEvery)
 	}
 	name := eo.Name
 	if name == "" {
@@ -158,37 +156,18 @@ func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
 	}
 	procs := net.NumProcessors()
 	pairs := procs * (procs - 1)
-	size := eo.RouteCacheSize
-	if size <= 0 {
-		size = pairs
-		if size < network.DefaultRouteCacheSize {
-			size = network.DefaultRouteCacheSize
-		}
-		if size > 1<<22 {
-			size = 1 << 22
-		}
-	}
-	shards := eo.RouteCacheShards
-	if shards <= 0 {
-		shards = 4 * workers
-		if shards > 256 {
-			shards = 256
-		}
-	}
+	size := min(max(pairs, network.DefaultRouteCacheSize), 1<<22)
+	shards := min(4*workers, 256)
 	e := &Engine{
-		name:          name,
-		opts:          eo.Opts,
-		net:           net,
-		cache:         network.NewShardedRouteCache(size, shards),
-		maxConcurrent: workers,
-		maxQueue:      eo.MaxQueue,
-		sem:           make(chan struct{}, workers),
+		name:           name,
+		opts:           eo.Opts,
+		net:            net,
+		cache:          network.NewShardedRouteCache(size, shards),
+		maxConcurrent:  workers,
+		maxQueue:       eo.MaxQueue,
+		sem:            make(chan struct{}, workers),
+		selfCheckEvery: eo.SelfCheckEvery,
 	}
-	e.opts.RouteCache = nil // installed per state below; never trust the caller's
-	if eo.SelfCheckEvery < 0 {
-		return nil, fmt.Errorf("sched: negative SelfCheckEvery %d", eo.SelfCheckEvery)
-	}
-	e.selfCheckEvery = eo.SelfCheckEvery
 	if eo.WarmRoutes && pairs <= size {
 		e.warmRoutes()
 	}
@@ -216,14 +195,6 @@ func (e *Engine) warmRoutes() {
 // Name returns the display name stamped on produced schedules.
 func (e *Engine) Name() string { return e.name }
 
-// RouteCache returns the engine's shared route cache, for callers that
-// want to share its warmth with one-shot Schedule runs (via
-// Options.RouteCache) or inspect it directly.
-func (e *Engine) RouteCache() *network.RouteCache { return e.cache }
-
-// Topology returns the engine's (immutable) topology.
-func (e *Engine) Topology() *network.Topology { return e.net }
-
 // Schedule maps every task of g onto a processor and every
 // inter-processor edge onto a route of links, exactly as the matching
 // one-shot scheduler would, and returns the complete schedule. Safe
@@ -240,36 +211,7 @@ func (e *Engine) Schedule(g *dag.Graph) (*Schedule, error) {
 		return nil, err
 	}
 	defer e.release()
-	s, err := e.run(g, nil)
-	return s, err
-}
-
-// ScheduleBatch schedules the graphs in order on ONE pooled state
-// under ONE admission slot, amortizing admission, pool traffic and
-// journal resizing across many small DAGs. Results align positionally
-// with gs; the first error aborts the batch. Each schedule is
-// bit-identical to its own one-shot run — batching shares warmth, not
-// state: the state is fully reset between graphs.
-func (e *Engine) ScheduleBatch(gs []*dag.Graph) ([]*Schedule, error) {
-	if err := e.begin(); err != nil {
-		return nil, err
-	}
-	defer e.inflight.Done()
-	if err := e.acquire(); err != nil {
-		e.rejected.Add(1)
-		return nil, err
-	}
-	defer e.release()
-	out := make([]*Schedule, len(gs))
-	var st *state
-	for i, g := range gs {
-		s, err := e.run(g, &st)
-		if err != nil {
-			return nil, fmt.Errorf("sched: batch graph %d: %w", i, err)
-		}
-		out[i] = s
-	}
-	return out, nil
+	return e.run(g)
 }
 
 // begin gates admission on the drain flag and registers the request
@@ -307,64 +249,41 @@ func (e *Engine) release() {
 	<-e.sem
 }
 
-// run schedules one graph on a pooled state. With stp == nil the state
-// is taken from and returned to the pool inside the call; with a
-// non-nil stp the caller owns the state across calls (batching) and
-// run leaves it in *stp, returning it to the pool only on error.
-func (e *Engine) run(g *dag.Graph, stp **state) (*Schedule, error) {
+// run schedules one graph: get a pooled (or freshly built) state,
+// scheduleOn, put it back, and every SelfCheckEvery'th request
+// re-derive the schedule through the one-shot path.
+func (e *Engine) run(g *dag.Graph) (*Schedule, error) {
 	e.requests.Add(1)
 	seq := e.reqSeq.Add(1)
-	if err := g.Validate(); err != nil {
-		e.failures.Add(1)
-		return nil, err
+	out, err := e.schedule(g)
+	if n := e.selfCheckEvery; err == nil && n > 0 && seq%uint64(n) == 0 {
+		err = e.selfCheck(g, out)
 	}
-	var s *state
-	if stp != nil && *stp != nil {
-		s = *stp
-		s.resetFor(g)
-	} else {
-		var err error
-		if s, err = e.get(g); err != nil {
-			e.failures.Add(1)
-			return nil, err
-		}
-		if stp != nil {
-			*stp = s
-		}
-	}
-	out, err := scheduleOn(s, e.name)
 	if err != nil {
 		e.failures.Add(1)
-		if stp != nil {
-			*stp = nil
-		}
-		e.put(s)
 		return nil, err
-	}
-	if stp == nil {
-		e.put(s)
-	}
-	if n := e.selfCheckEvery; n > 0 && seq%uint64(n) == 0 {
-		if err := e.selfCheck(g, out); err != nil {
-			e.failures.Add(1)
-			return nil, err
-		}
 	}
 	return out, nil
 }
 
-// get draws a state from the pool (resetting it for g) or builds one
-// cold against the engine's topology, options and shared cache.
-func (e *Engine) get(g *dag.Graph) (*state, error) {
-	if v := e.pool.Get(); v != nil {
-		s := v.(*state)
-		s.resetFor(g)
-		return s, nil
+// schedule validates g and runs it on a state drawn from the pool
+// (re-targeted by resetFor) or, when the pool is empty, built by
+// newState against the engine's topology, options and shared cache.
+func (e *Engine) schedule(g *dag.Graph) (*Schedule, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
-	e.coldStates.Add(1)
-	opts := e.opts
-	opts.RouteCache = e.cache
-	return newState(g, e.net, opts)
+	var s *state
+	if v := e.pool.Get(); v != nil {
+		s = v.(*state)
+		s.resetFor(g)
+	} else {
+		e.coldStates.Add(1)
+		s = newState(g, e.net, e.opts, e.cache)
+	}
+	out, err := scheduleOn(s, e.name)
+	e.put(s)
+	return out, err
 }
 
 // put returns a state to the pool. The task and duplicate columns
@@ -373,7 +292,7 @@ func (e *Engine) get(g *dag.Graph) (*state, error) {
 // edge arenas, journals, router scratch, closure caches — retains its
 // capacity for the next request.
 func (e *Engine) put(s *state) {
-	if s == nil || s.tx != nil {
+	if s.tx != nil {
 		return // a state stuck in a transaction is corrupt; drop it
 	}
 	s.g = nil
@@ -382,21 +301,16 @@ func (e *Engine) put(s *state) {
 	e.pool.Put(s)
 }
 
-// selfCheck re-runs the request cold — fresh state, private route
-// cache, sequential probes — and fails if the engine's schedule is not
-// bit-identical. This is the serving-path twin of the rollback oracle:
-// it turns "pooling and sharing change nothing" into a checked
-// runtime contract.
+// selfCheck re-runs the request through the one-shot path — the
+// scheduler NewCustom builds, sequential probes, private route cache —
+// and fails if the engine's schedule is not bit-identical. This is the
+// serving-path twin of the rollback oracle: it turns "pooling and
+// sharing change nothing" into a checked runtime contract.
 func (e *Engine) selfCheck(g *dag.Graph, got *Schedule) error {
 	e.selfChecks.Add(1)
 	opts := e.opts
-	opts.RouteCache = nil
 	opts.ProbeWorkers = 1
-	s, err := newState(g, e.net, opts)
-	if err != nil {
-		return fmt.Errorf("sched: engine self-check setup: %w", err)
-	}
-	want, err := scheduleOn(s, e.name)
+	want, err := NewCustom(e.name, opts).Schedule(g, e.net)
 	if err != nil {
 		return fmt.Errorf("sched: engine self-check run: %w", err)
 	}
@@ -436,16 +350,16 @@ func (e *Engine) Drain() {
 	e.inflight.Wait()
 }
 
-// resetFor reconfigures a pooled state for a new graph against the
-// state's existing topology and options — the engine-pool twin of
-// cloneInto. Everything request-visible is rewound to the cold-start
-// value (timelines emptied with their pruning bounds, arenas
-// truncated, journals resized with their epochs intact, processor
-// clocks zeroed), while every backing capacity is retained. The task
-// and duplicate columns are rebuilt fresh because the previous
-// request's Schedule owns the old ones. The cached relaxFn/slackFn
-// closures survive: they capture only s itself, whose options and
-// topology do not change inside one engine.
+// resetFor re-targets a state at a new graph against the state's
+// existing topology and options: the graph-shaped half of newState and
+// the whole of the engine pool's reuse. Everything request-visible is
+// rewound to the cold-start value (timelines emptied with their
+// pruning bounds, arenas truncated, journals resized with their epochs
+// intact, processor clocks zeroed), while every backing capacity is
+// retained. The task and duplicate columns are rebuilt fresh because
+// the previous request's Schedule owns the old ones. The cached
+// relaxFn/slackFn closures survive: they capture only s itself, whose
+// options and topology do not change inside one engine.
 func (s *state) resetFor(g *dag.Graph) {
 	if s.tx != nil {
 		panic("sched: resetFor inside a transaction")
@@ -462,14 +376,7 @@ func (s *state) resetFor(g *dag.Graph) {
 	s.dups = nil
 	s.edges.init(g.NumEdges())
 	s.txSeq = 0
-	if s.txFree != nil {
-		s.txFree.taskOld.resize(len(s.tasks))
-		s.txFree.procOld.resize(len(s.procFinish))
-		s.txFree.edgeOld.resize(len(s.edges.meta))
-		s.txFree.tlSnaps.resize(len(s.tl))
-		s.txFree.bwSnaps.resize(len(s.bw))
-		s.txFree.ptlSnaps.resize(len(s.ptl))
-	}
+	s.sizeJournals()
 	s.stats.probes.Store(0)
 	s.stats.pruned.Store(0)
 	s.forks = s.forks[:0]

@@ -53,7 +53,6 @@ func engineTopology() *network.Topology {
 // state, private route cache, sequential probes.
 func coldRun(t *testing.T, name string, opts sched.Options, g *dag.Graph, net *network.Topology) *sched.Schedule {
 	t.Helper()
-	opts.RouteCache = nil
 	opts.ProbeWorkers = 1
 	s, err := sched.NewCustom(name, opts).Schedule(g, net)
 	if err != nil {
@@ -71,42 +70,66 @@ func mustVerify(t *testing.T, s *sched.Schedule) {
 }
 
 // TestEngineMatchesColdRun drives every preset through a warmed engine
-// — twice per graph, so the second pass runs entirely on pooled states
-// — and demands bit-identical agreement with cold one-shot runs.
+// at ProbeWorkers 1 and 8 — twice per graph, so the second pass runs
+// entirely on pooled states — and demands bit-identical agreement with
+// cold sequential one-shot runs: presets × probe workers × engine vs
+// one-shot, all under DiffSchedules.
 func TestEngineMatchesColdRun(t *testing.T) {
 	for name, ls := range enginePresets() {
 		name, ls := name, ls
 		t.Run(name, func(t *testing.T) {
-			net := engineTopology()
-			eng, err := sched.NewEngine(net, sched.EngineOptions{
-				Name: name, Opts: ls.Opts, WarmRoutes: true, SelfCheckEvery: 3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Drain()
-			for pass := 0; pass < 2; pass++ {
-				for i := 0; i < 6; i++ {
-					g := engineGraph(i)
-					got, err := eng.Schedule(g)
+			for _, workers := range []int{1, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					net := engineTopology()
+					opts := ls.Opts
+					opts.ProbeWorkers = workers
+					eng, err := sched.NewEngine(net, sched.EngineOptions{
+						Name: name, Opts: opts, WarmRoutes: true, SelfCheckEvery: 3,
+					})
 					if err != nil {
-						t.Fatalf("pass %d graph %d: %v", pass, i, err)
+						t.Fatal(err)
 					}
-					mustVerify(t, got)
-					want := coldRun(t, name, ls.Opts, g, net)
-					if d := sched.DiffSchedules(want, got); d != "" {
-						t.Fatalf("pass %d graph %d diverged from cold run: %s", pass, i, d)
+					defer eng.Drain()
+					for pass := 0; pass < 2; pass++ {
+						for i := 0; i < 6; i++ {
+							g := engineGraph(i)
+							got, err := eng.Schedule(g)
+							if err != nil {
+								t.Fatalf("pass %d graph %d: %v", pass, i, err)
+							}
+							mustVerify(t, got)
+							want := coldRun(t, name, ls.Opts, g, net)
+							if d := sched.DiffSchedules(want, got); d != "" {
+								t.Fatalf("pass %d graph %d diverged from cold run: %s", pass, i, d)
+							}
+						}
 					}
-				}
-			}
-			st := eng.Stats()
-			if st.Requests != 12 || st.Failures != 0 {
-				t.Fatalf("stats: %+v", st)
-			}
-			if st.SelfChecks == 0 {
-				t.Fatal("self-check oracle never ran")
+					st := eng.Stats()
+					if st.Requests != 12 || st.Failures != 0 {
+						t.Fatalf("stats: %+v", st)
+					}
+					if st.SelfChecks == 0 {
+						t.Fatal("self-check oracle never ran")
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestNewEngineRejectsBadOptions pins that NewEngine refuses, at
+// construction, every option set no scheduler state can be built for —
+// instead of accepting it and then failing every request.
+func TestNewEngineRejectsBadOptions(t *testing.T) {
+	bad := map[string]sched.Options{
+		"unknown engine":        {Engine: 99},
+		"unknown routing":       {Routing: 99},
+		"duplication+insertion": {Duplication: true, TaskPolicy: sched.TaskInsertion},
+	}
+	for name, opts := range bad {
+		if _, err := sched.NewEngine(engineTopology(), sched.EngineOptions{Opts: opts}); err == nil {
+			t.Errorf("%s: NewEngine accepted options %+v", name, opts)
+		}
 	}
 }
 
@@ -184,41 +207,6 @@ func TestEngineCacheHitRate(t *testing.T) {
 	}
 }
 
-// TestEngineScheduleBatch pins that batching amortizes state reuse
-// without coupling the DAGs: every batched schedule verifies and is
-// bit-identical to its own individual engine run.
-func TestEngineScheduleBatch(t *testing.T) {
-	net := engineTopology()
-	eng, err := sched.NewEngine(net, sched.EngineOptions{
-		Name: "OIHSA", Opts: sched.NewOIHSA().Opts, WarmRoutes: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Drain()
-	gs := make([]*dag.Graph, 5)
-	for i := range gs {
-		gs[i] = engineGraph(i)
-	}
-	batch, err := eng.ScheduleBatch(gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(gs) {
-		t.Fatalf("%d results for %d graphs", len(batch), len(gs))
-	}
-	for i, s := range batch {
-		mustVerify(t, s)
-		single, err := eng.Schedule(gs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := sched.DiffSchedules(single, s); d != "" {
-			t.Fatalf("batched graph %d diverged from individual run: %s", i, d)
-		}
-	}
-}
-
 // TestEngineDrain pins the lifecycle: Drain waits for in-flight work,
 // then every later request fails with ErrEngineClosed.
 func TestEngineDrain(t *testing.T) {
@@ -252,40 +240,5 @@ func TestEngineDrain(t *testing.T) {
 	}
 	if _, err := eng.Schedule(engineGraph(0)); !errors.Is(err, sched.ErrEngineClosed) {
 		t.Fatalf("post-drain Schedule: %v, want ErrEngineClosed", err)
-	}
-	if _, err := eng.ScheduleBatch([]*dag.Graph{engineGraph(0)}); !errors.Is(err, sched.ErrEngineClosed) {
-		t.Fatalf("post-drain ScheduleBatch: %v, want ErrEngineClosed", err)
-	}
-}
-
-// TestEngineSharedCacheWithOneShot pins satellite interop: a one-shot
-// ListScheduler handed the engine's warmed cache via Options.RouteCache
-// produces the bit-identical schedule and actually hits the cache.
-func TestEngineSharedCacheWithOneShot(t *testing.T) {
-	net := engineTopology()
-	opts := sched.NewBASinnen().Opts
-	eng, err := sched.NewEngine(net, sched.EngineOptions{
-		Name: "BA-EFT", Opts: opts, WarmRoutes: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Drain()
-	g := engineGraph(3)
-	want := coldRun(t, "BA-EFT", opts, g, net)
-
-	hits0, _ := eng.RouteCache().Stats()
-	shared := opts
-	shared.RouteCache = eng.RouteCache()
-	got, err := sched.NewCustom("BA-EFT", shared).Schedule(g, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustVerify(t, got)
-	if d := sched.DiffSchedules(want, got); d != "" {
-		t.Fatalf("shared-cache run diverged from cold run: %s", d)
-	}
-	if hits1, _ := eng.RouteCache().Stats(); hits1 <= hits0 {
-		t.Fatal("one-shot run never hit the shared warmed cache")
 	}
 }

@@ -55,7 +55,7 @@ func TestResetForNoResidue(t *testing.T) {
 			big := hygieneGraph(7, 40)
 			small := hygieneGraph(8, 9)
 
-			pooled, err := newState(big, net, opts)
+			pooled, err := coldState(big, net, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestResetForNoResidue(t *testing.T) {
 			pooled.dups = nil
 			pooled.resetFor(small)
 
-			fresh, err := newState(small, net, opts)
+			fresh, err := coldState(small, net, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestResetForNoResidue(t *testing.T) {
 func TestResetForJournalSizes(t *testing.T) {
 	net := network.Star(4, network.Uniform(1), network.Uniform(1))
 	opts := Options{ProcSelect: ProcSelectEFT}
-	s, err := newState(hygieneGraph(11, 30), net, opts)
+	s, err := coldState(hygieneGraph(11, 30), net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

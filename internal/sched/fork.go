@@ -128,14 +128,7 @@ func (s *state) cloneInto(c *state) {
 	c.ptl = linksched.CopyTimelines(c.ptl, s.ptl)
 	c.tx = nil
 	c.txSeq = 0
-	if c.txFree != nil {
-		c.txFree.taskOld.resize(len(s.tasks))
-		c.txFree.procOld.resize(len(s.procFinish))
-		c.txFree.edgeOld.resize(len(s.edges.meta))
-		c.txFree.tlSnaps.resize(len(s.tl))
-		c.txFree.bwSnaps.resize(len(s.bw))
-		c.txFree.ptlSnaps.resize(len(s.ptl))
-	}
+	c.sizeJournals()
 	c.forks = c.forks[:0]
 	c.forkErrs = c.forkErrs[:0]
 	c.relaxEdgeCost = 0

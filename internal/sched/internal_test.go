@@ -12,7 +12,7 @@ import (
 // mkState builds a fresh state for white-box tests.
 func mkState(t *testing.T, g *dag.Graph, net *network.Topology, opts Options) *state {
 	t.Helper()
-	s, err := newState(g, net, opts)
+	s, err := coldState(g, net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestCowEdgeLegsJournalsUntouchedEdge(t *testing.T) {
 func TestProbePanicSafe(t *testing.T) {
 	g := dag.Chain(2, 1, 10)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
-	s := mkState(t, g, net, Options{VerifyRollback: true})
+	s := mkState(t, g, net, Options{VerifyRollbackEvery: 1})
 	p := net.Processors()
 	if _, err := s.placeTask(0, p[0]); err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestProbePanicSafe(t *testing.T) {
 	}
 }
 
-// TestRollbackOracleDetectsUnjournaledWrites arms VerifyRollback and
+// TestRollbackOracleDetectsUnjournaledWrites arms VerifyRollbackEvery=1 and
 // commits un-journaled writes inside a transaction: rollback must panic
 // and name the corrupted field.
 func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
@@ -312,7 +312,7 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g := dag.Chain(2, 1, 100)
 			net := network.Line(2, network.Uniform(1), network.Uniform(1))
-			s := mkState(t, g, net, Options{VerifyRollback: true})
+			s := mkState(t, g, net, Options{VerifyRollbackEvery: 1})
 			p := net.Processors()
 			if _, err := s.placeTask(0, p[0]); err != nil {
 				t.Fatal(err)
@@ -450,9 +450,9 @@ func TestVerifyRollbackEverySamples(t *testing.T) {
 	}
 }
 
-// TestVerifyRollbackEveryDetects arms the sampled oracle at N=1 (every
-// transaction) via the sampling path and checks it still catches an
-// un-journaled write — the sampled mode must lose cadence, not teeth.
+// TestVerifyRollbackEveryDetects arms the oracle at N=1 (every
+// transaction) and checks it catches an un-journaled write to a link
+// timeline — the one oracle knob must keep its teeth at every cadence.
 func TestVerifyRollbackEveryDetects(t *testing.T) {
 	g := dag.Chain(2, 1, 100)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))

@@ -298,16 +298,6 @@ type Options struct {
 	// the predecessor is duplicated onto the destination processor and
 	// the communication is dropped. Requires TaskAppend placement.
 	Duplication bool
-	// RouteCache, when non-nil, is consulted and warmed by this run
-	// instead of a fresh per-run cache, so the static BFS route work is
-	// amortized across every Schedule call sharing the cache. The cache
-	// is concurrency-safe and routes are pure functions of the
-	// topology, so sharing never changes a schedule — it only skips
-	// recomputing routes a previous run (or a concurrent one, see
-	// Engine) already found. It must have been used only with the same
-	// topology the run schedules against. nil keeps the historical
-	// behaviour: a private cache per run, warmed and then discarded.
-	RouteCache *network.RouteCache
 	// ProbeWorkers bounds the goroutines evaluating earliest-finish
 	// processor candidates concurrently (ProcSelectEFT only): the
 	// scheduler state is forked into that many replicas and the
@@ -315,21 +305,38 @@ type Options struct {
 	// 1 keeps the probes sequential on the primary state. Schedules
 	// are bit-identical at any setting — see fork.go.
 	ProbeWorkers int
-	// VerifyRollback arms the rollback oracle: every probe transaction
+	// VerifyRollbackEvery arms the rollback oracle: when N > 0, every
+	// Nth probe transaction (the first, then every Nth after it)
 	// captures a deep fingerprint of the scheduler state at begin and
 	// re-checks it after rollback, panicking with the offending
-	// field/link ID on any difference. A debugging and property-test
-	// aid — fingerprinting costs O(state) per probe, so leave it off
-	// in production runs.
-	VerifyRollback bool
-	// VerifyRollbackEvery is the sampled variant of the oracle: when
-	// N > 0 (and VerifyRollback is off), every Nth probe transaction is
-	// fingerprinted instead of all of them. An un-journaled write on
-	// any probe of a deterministic schedule run repeats on the sampled
-	// ones, so sampling keeps the detection power at 1/N of the cost —
-	// cheap enough for ordinary test runs, not just the dedicated
-	// oracle CI job.
+	// field/link ID on any difference. N = 1 checks every probe — the
+	// exhaustive mode of the dedicated oracle CI job. An un-journaled
+	// write on any probe of a deterministic run repeats on the sampled
+	// ones, so a larger N keeps the detection power at 1/N of the
+	// O(state) per-probe cost. A debugging and property-test aid:
+	// leave it 0 in production runs.
 	VerifyRollbackEvery int
+}
+
+// validate rejects option combinations no state can be built for. It
+// is the one check shared by every entry point: the one-shot
+// schedulers (via coldState) and NewEngine, which must refuse a bad
+// configuration at construction rather than fail every request.
+func (o Options) validate() error {
+	if o.Duplication && o.TaskPolicy != TaskAppend {
+		return fmt.Errorf("sched: duplication requires the append task policy")
+	}
+	switch o.Engine {
+	case EngineSlots, EngineBandwidth, EnginePackets:
+	default:
+		return fmt.Errorf("sched: unknown engine %v", o.Engine)
+	}
+	switch o.Routing {
+	case RoutingBFS, RoutingDijkstra:
+	default:
+		return fmt.Errorf("sched: unknown routing %v", o.Routing)
+	}
+	return nil
 }
 
 // priorityOrder returns the task order selected by the options.
@@ -422,7 +429,7 @@ type state struct {
 
 	procFinish []float64 // per node ID (processor entries only)
 	tasks      []TaskPlacement
-	edges      edgeStore // columnar edge schedules, see edgestore.go
+	edges      edgeStore       // columnar edge schedules, see edgestore.go
 	dups       []TaskPlacement // duplicated source tasks (Duplication)
 
 	tx *txn // active transaction, or nil
@@ -470,51 +477,57 @@ type state struct {
 	slackFn       linksched.SlackFunc
 }
 
-// newState builds the mutable scheduling state for one run.
-func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error) {
-	if opts.Duplication && opts.TaskPolicy != TaskAppend {
-		return nil, fmt.Errorf("sched: duplication requires the append task policy")
+// newState builds the scheduling state for g against net: it allocates
+// the topology-shaped columns (link and processor timelines, processor
+// clocks, router) and then calls resetFor, which sizes everything
+// graph-shaped. Engine-pooled states are re-targeted by resetFor alone,
+// so a cold state and a pooled one are the same construction. opts must
+// have passed validate; cache is the route cache the state (and its
+// forks) consult.
+func newState(g *dag.Graph, net *network.Topology, opts Options, cache *network.RouteCache) *state {
+	s := &state{
+		net:        net,
+		opts:       opts,
+		mls:        net.MeanLinkSpeed(),
+		procFinish: make([]float64, net.NumNodes()),
+		router:     net.NewRouter(cache),
+		routerNet:  net,
+		routeCache: cache,
+		stats:      &probeStats{},
 	}
-	s := &state{g: g, net: net, opts: opts, mls: net.MeanLinkSpeed(), stats: &probeStats{}}
-	s.routeCache = opts.RouteCache
-	if s.routeCache == nil {
-		// No shared cache supplied: a private per-run cache still
-		// amortizes routes across the probes within this run, but its
-		// warmup is lost when the run ends.
-		s.routeCache = network.NewRouteCache(0)
+	if opts.Engine == EngineBandwidth {
+		s.bw = make([]linksched.BWTimeline, net.NumLinks())
+	} else {
+		s.tl = make([]linksched.Timeline, net.NumLinks())
 	}
-	s.router = net.NewRouter(s.routeCache)
-	s.routerNet = net
-	nl := net.NumLinks()
-	switch opts.Engine {
-	case EngineSlots, EnginePackets:
-		s.tl = make([]linksched.Timeline, nl)
-	case EngineBandwidth:
-		s.bw = make([]linksched.BWTimeline, nl)
-	default:
-		return nil, fmt.Errorf("sched: unknown engine %v", opts.Engine)
-	}
-	s.procFinish = make([]float64, net.NumNodes())
 	if opts.TaskPolicy == TaskInsertion {
 		s.ptl = make([]linksched.Timeline, net.NumNodes())
 	}
-	s.tasks = make([]TaskPlacement, g.NumTasks())
-	for i := range s.tasks {
-		s.tasks[i] = TaskPlacement{Task: dag.TaskID(i), Proc: -1}
-	}
-	s.edges.init(g.NumEdges())
-	return s, nil
+	s.resetFor(g)
+	return s
 }
 
-// Schedule implements Algorithm.
-func (l *ListScheduler) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
+// coldState validates the inputs and builds a fresh state with a
+// private route cache: the construction of every one-shot entry point
+// (ListScheduler, ScheduleAssignment, DLS, CPOP, Classic). The cache
+// still amortizes routes across the probes of the run; its warmup is
+// dropped with the state.
+func coldState(g *dag.Graph, net *network.Topology, opts Options) (*state, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := newState(g, net, l.Opts)
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	return newState(g, net, opts, network.NewRouteCache(0)), nil
+}
+
+// Schedule implements Algorithm.
+func (l *ListScheduler) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
+	s, err := coldState(g, net, l.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -524,9 +537,7 @@ func (l *ListScheduler) Schedule(g *dag.Graph, net *network.Topology) (*Schedule
 // scheduleOn runs the unified list-scheduling loop on a prepared state
 // and materializes the Schedule. It is shared by the one-shot
 // ListScheduler entry point and the long-lived Engine, whose pooled
-// states arrive here via resetFor instead of newState. The returned
-// Schedule owns s.tasks and s.dups (they escape; see Engine.put) but
-// no other state memory — materialize builds a private view.
+// states arrive here re-targeted by resetFor.
 func scheduleOn(s *state, name string) (*Schedule, error) {
 	order, err := priorityOrder(s.g, s.opts.Priority)
 	if err != nil {
@@ -545,6 +556,14 @@ func scheduleOn(s *state, name string) (*Schedule, error) {
 			return nil, err
 		}
 	}
+	return s.result(name), nil
+}
+
+// result materializes the state's placements as the Schedule every
+// entry point returns. The Schedule owns s.tasks and s.dups (they
+// escape; see Engine.put) but no other state memory — the edge view is
+// built privately by materialize.
+func (s *state) result(name string) *Schedule {
 	return &Schedule{
 		Algorithm:  name,
 		Graph:      s.g,
@@ -555,7 +574,7 @@ func scheduleOn(s *state, name string) (*Schedule, error) {
 		HopDelay:   s.opts.HopDelay,
 		Switching:  s.opts.Switching,
 		Duplicates: s.dups,
-	}, nil
+	}
 }
 
 // selectProcessor picks the processor for a ready task per the
@@ -773,18 +792,15 @@ func (s *state) scheduleEdge(eid dag.EdgeID, dstProc network.NodeID, base float6
 	return s.edges.finish(eid, base), nil
 }
 
-// findRoute picks the route per the configured policy.
+// findRoute picks the route per the configured policy (Options.validate
+// admits only BFS and Dijkstra).
 func (s *state) findRoute(e dag.Edge, src, dst network.NodeID, base float64) (network.Route, error) {
-	switch s.opts.Routing {
-	case RoutingBFS:
+	if s.opts.Routing == RoutingBFS {
 		return s.router.BFSRoute(src, dst)
-	case RoutingDijkstra:
-		init := network.Label{Start: base, Finish: base}
-		route, _, err := s.router.DijkstraRoute(src, dst, init, s.relaxFunc(e))
-		return route, err
-	default:
-		return nil, fmt.Errorf("sched: unknown routing %v", s.opts.Routing)
 	}
+	init := network.Label{Start: base, Finish: base}
+	route, _, err := s.router.DijkstraRoute(src, dst, init, s.relaxFunc(e))
+	return route, err
 }
 
 // relaxFunc returns the modified-Dijkstra relaxation for edge e: the

@@ -587,7 +587,27 @@ func TestDuplicationVerifiesOnRandomInstances(t *testing.T) {
 		for _, preset := range []sched.Options{sched.NewBA().Opts, sched.NewOIHSA().Opts, sched.NewBBSA().Opts} {
 			opts := preset
 			opts.Duplication = true
-			mustSchedule(t, sched.NewCustom("dup", opts), g, net)
+			s := mustSchedule(t, sched.NewCustom("dup", opts), g, net)
+			// Replaying the assignment must keep the duplicates: the
+			// presets' processor choice is closed-form, so the replay
+			// re-derives the schedule bit for bit.
+			assign := make([]network.NodeID, len(s.Tasks))
+			for i, tp := range s.Tasks {
+				assign[i] = tp.Proc
+			}
+			replay, err := sched.ScheduleAssignment(g, net, assign, opts, "dup")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := verify.Verify(replay); !res.OK() {
+				t.Fatalf("trial %d: replayed assignment invalid: %v", trial, res)
+			}
+			if d := sched.DiffSchedules(s, replay); d != "" {
+				t.Fatalf("trial %d: replayed assignment diverged: %s", trial, d)
+			}
+			// DLS and CPOP share the placement path, duplicates included.
+			mustSchedule(t, &sched.DLS{Opts: opts}, g, net)
+			mustSchedule(t, &sched.CPOP{Opts: opts}, g, net)
 		}
 	}
 }

@@ -32,10 +32,9 @@ type txn struct {
 	// values plus this truncation restores the store exactly.
 	marks arenaMarks
 	// fp is the rollback oracle's deep fingerprint of the whole state,
-	// captured at begin when Options.VerifyRollback is set (or on every
-	// VerifyRollbackEvery'th transaction); rollback re-fingerprints
-	// after restoring and panics on any difference, naming the
-	// corrupted field and ID.
+	// captured at begin on every Options.VerifyRollbackEvery'th
+	// transaction; rollback re-fingerprints after restoring and panics
+	// on any difference, naming the corrupted field and ID.
 	fp *fingerprint
 }
 
@@ -56,8 +55,7 @@ func (s *state) begin() {
 	s.tx = s.txFree
 	s.tx.dupsLen = len(s.dups)
 	s.tx.marks = s.edges.marks()
-	if s.opts.VerifyRollback ||
-		(s.opts.VerifyRollbackEvery > 0 && s.txSeq%uint64(s.opts.VerifyRollbackEvery) == 0) {
+	if n := s.opts.VerifyRollbackEvery; n > 0 && s.txSeq%uint64(n) == 0 {
 		s.tx.fp = s.captureFingerprint()
 	}
 	s.txSeq++
@@ -79,11 +77,28 @@ func (s *state) newTxn() *txn {
 	return tx
 }
 
+// sizeJournals re-sizes the reusable transaction journals, if the state
+// has built them, to its current entity counts. resetFor and cloneInto
+// call it after re-shaping the columns, which keeps the size-drift
+// check in begin honest for pooled states and fork replicas.
+func (s *state) sizeJournals() {
+	tx := s.txFree
+	if tx == nil {
+		return
+	}
+	tx.taskOld.resize(len(s.tasks))
+	tx.procOld.resize(len(s.procFinish))
+	tx.edgeOld.resize(len(s.edges.meta))
+	tx.tlSnaps.resize(len(s.tl))
+	tx.bwSnaps.resize(len(s.bw))
+	tx.ptlSnaps.resize(len(s.ptl))
+}
+
 // checkJournalSizes verifies that the reusable journals still match the
 // state's entity counts: journal.put indexes mark[id] unchecked, so a
 // journal sized for a different entity census would corrupt memory or
 // panic opaquely deep inside a probe. Drift can only come from a bug in
-// the clone/pool plumbing (cloneInto resizes the journals), so this
+// the clone/pool plumbing (sizeJournals resizes the journals), so this
 // fails loudly with a named panic rather than limping on.
 //
 // edgelint:noalloc
